@@ -39,11 +39,12 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, TypeVar, Union
 
 from . import __version__
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 #: Chunk size for hashing file contents without loading them whole.
 _HASH_CHUNK = 1 << 20
@@ -64,6 +65,27 @@ def iter_chunks(stream, chunk_size: int = _HASH_CHUNK) -> Iterator[bytes]:
         if not chunk:
             return
         yield chunk
+
+
+def lru_victims(entries: Iterable[Tuple[float, int, T]],
+                max_bytes: int, keep: Optional[T] = None) -> Iterator[T]:
+    """The items to evict so ``(mtime, size, item)`` entries fit under
+    ``max_bytes``: least recently used first (the smaller of equally
+    old entries first), never ``keep``.
+
+    Each yielded item counts as gone once the caller resumes the
+    generator; the caller does the unlinking, in whatever order its
+    on-disk layout needs.
+    """
+    ranked = sorted(entries, key=lambda entry: entry[:2])
+    total = sum(size for _, size, _ in ranked)
+    for _, size, item in ranked:
+        if total <= max_bytes:
+            return
+        if item == keep:
+            continue
+        yield item
+        total -= size
 
 
 def content_key(namespace: str, version: Union[int, str],
@@ -181,7 +203,6 @@ class ReportCache:
         if self.max_bytes is None:
             return
         entries = []
-        total = 0
         for candidate in self.directory.iterdir():
             if candidate.name.startswith(".") \
                     or not candidate.name.endswith(self.suffix):
@@ -190,19 +211,12 @@ class ReportCache:
                 stat = candidate.stat()
             except OSError:
                 continue           # lost a concurrent-eviction race
-            total += stat.st_size
             entries.append((stat.st_mtime, stat.st_size, candidate))
-        entries.sort(key=lambda item: item[:2])
-        for _, size, victim in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and victim == keep:
-                continue
+        for victim in lru_victims(entries, self.max_bytes, keep):
             try:
                 victim.unlink()
             except OSError:
                 continue
-            total -= size
             with self._lock:
                 self.evictions += 1
 

@@ -11,7 +11,7 @@ Layout (little-endian):
   event count ``u64``, string-table length ``u32``;
 * string table — the UTF-8 region and activity names, NUL-separated,
   referenced by index;
-* events — one 38-byte record each:
+* events — one 37-byte record each:
   ``u32 rank, u16 region_id, u16 activity_id, f64 begin, f64 end,
   u8 kind_id, u64 nbytes, i32 partner`` (packed without padding).
 

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, List, Optional, Tuple, Union
 
-from ..cache import HASH_CHUNK, iter_chunks
+from ..cache import HASH_CHUNK, iter_chunks, lru_victims
 from ..errors import TraceError, TraceWarning
 from ..instrument.binary import MAGIC, read_any_tracer
 
@@ -306,22 +306,18 @@ class TraceStore:
         """
         if self.max_bytes is None:
             return 0
-        ranked = []
-        total = 0
+        entries = []
+        kept = None
         for obj, sidecar, size in self._published():
             try:
                 mtime = obj.stat().st_mtime
             except OSError:
                 continue
-            total += size
-            ranked.append((mtime, size, obj, sidecar))
-        ranked.sort(key=lambda item: item[:2])
-        evicted = 0
-        for _, size, obj, sidecar in ranked:
-            if total <= self.max_bytes:
-                break
+            entries.append((mtime, size, (obj, sidecar)))
             if keep is not None and obj.name.startswith(keep):
-                continue
+                kept = (obj, sidecar)
+        evicted = 0
+        for obj, sidecar in lru_victims(entries, self.max_bytes, kept):
             # Retract in reverse publish order: the sidecar disappears
             # before the bytes, so no reader sees metadata without data.
             for victim in (sidecar, obj):
@@ -329,7 +325,6 @@ class TraceStore:
                     victim.unlink()
                 except OSError:
                     pass
-            total -= size
             evicted += 1
         if evicted:
             with self._lock:

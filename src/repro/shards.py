@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -127,8 +126,7 @@ def _shard_worker(task):
     index, shard, chunk_size, on_error = task
     # Each shard is one logical worker of the self-trace: its spans are
     # labelled shard-N, so `repro self` can ask whether the shard fleet
-    # itself is balanced.  worker_scope also spools the spans back to
-    # the driver when it runs in a separate process.
+    # itself is balanced.
     with obspans.worker_scope(f"shard-{index}"):
         with obspans.span("shard_accumulate", kind=shard.kind,
                           start=shard.start, stop=shard.stop):
@@ -148,24 +146,17 @@ def shard_accumulate(path: PathLike, jobs: Optional[int] = None,
     result is deterministic and — for an intact file — agrees with the
     sequential streaming path to within float summation rounding.
     """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ReproError(f"--jobs must be at least 1, got {jobs}")
     if n_shards is None:
-        n_shards = jobs
+        n_shards = jobs or os.cpu_count() or 1
     with obspans.span("shard_plan", activity="plan"):
         shards = plan_shards(path, n_shards)
     tasks = [(index, shard, chunk_size, on_error)
              for index, shard in enumerate(shards)]
-    jobs = max(1, min(jobs, len(shards)))
     with obspans.span("shard_fanout", activity="coordination",
-                      jobs=jobs, shards=len(shards)):
-        if jobs == 1:
-            parts = [_shard_worker(task) for task in tasks]
-        else:
-            with get_context().Pool(jobs) as pool:
-                parts = pool.map(_shard_worker, tasks)
+                      shards=len(shards)):
+        parts = obspans.fanout(_shard_worker, tasks, jobs)
     with obspans.span("shard_merge", activity="merge"):
         merged = parts[0]
         for part in parts[1:]:

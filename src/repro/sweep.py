@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import get_context
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -251,17 +250,10 @@ def sweep_traces(traces: Union[str, Path, Sequence[Union[str, Path]]],
                 pending.append((position, (str(path), config, key)))
 
     if pending:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        jobs = max(1, min(jobs, len(pending)))
-        tasks = [task for _, task in pending]
         with obspans.span("sweep_fanout", activity="coordination",
-                          jobs=jobs, pending=len(pending)):
-            if jobs == 1:
-                fresh = [_worker(task) for task in tasks]
-            else:
-                with get_context().Pool(jobs) as pool:
-                    fresh = pool.map(_worker, tasks)
+                          pending=len(pending)):
+            fresh = obspans.fanout(_worker, [task for _, task in pending],
+                                   jobs)
         for (position, _), summary in zip(pending, fresh):
             results[position] = summary
             if use_cache:

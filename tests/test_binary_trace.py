@@ -22,6 +22,11 @@ class TestRoundTrip:
         path = tmp_path / "t.rptb"
         assert write_binary_trace(path, sample_events()) == 3
         assert read_binary_trace(path) == sample_events()
+        # 22-byte header, NUL-separated string table, 37-byte records.
+        table = b"\x00".join(name.encode() for name in (
+            "loop 1", "computation", "point-to-point", "loop 2",
+            "synchronization"))
+        assert path.stat().st_size == 22 + len(table) + 37 * 3
 
     def test_empty(self, tmp_path):
         path = tmp_path / "t.rptb"

@@ -4,8 +4,8 @@ The load-bearing guarantees:
 
 * spans cost (nearly) nothing while disabled and record begin/end/
   worker/attributes faithfully while enabled — including spans from
-  multiprocessing shard and sweep workers, which travel home through
-  the spool directory;
+  multiprocessing shard and sweep workers, which come home with their
+  task results;
 * the self-trace serialization round-trips through the ordinary trace
   readers, so ``repro analyze`` accepts the tool's own profile;
 * structured log records are one JSON object per line and carry the
@@ -124,30 +124,14 @@ class TestSpans:
                     activity="merge", attributes={"k": "v"})
         assert Span.from_dict(span.to_dict()) == span
 
-    def test_spool_round_trip_simulates_worker_process(self, tmp_path):
-        """A worker with only SPOOL_ENV set spools; drain merges."""
-        spool = tmp_path / "spool"
-        obspans.enable(str(spool))
-        assert os.environ[obspans.SPOOL_ENV] == str(spool)
-        # Simulate the worker side: recording off locally, env set.
-        recorder = obspans._RECORDER
-        recorder.enabled = False
-        with obspans.worker_scope("shard-7"):
-            with obspans.span("shard_accumulate"):
-                pass
-        assert list(spool.glob("spans-*.jsonl"))
-        recorder.enabled = True       # back to the parent's view
-        (span,) = obspans.drain()
-        assert span.worker == "shard-7"
-        assert not list(spool.glob("spans-*.jsonl"))   # consumed
-
-    def test_disable_removes_owned_spool_and_env(self):
+    def test_enable_disable_leave_environment_unchanged(self):
+        before = dict(os.environ)
         obspans.enable()
-        spool = obspans._RECORDER.spool_dir
-        assert spool and os.path.isdir(spool)
+        with obspans.span("stage"):
+            pass
+        assert dict(os.environ) == before
         obspans.disable()
-        assert not os.path.isdir(spool)
-        assert obspans.SPOOL_ENV not in os.environ
+        assert dict(os.environ) == before
 
     def test_shard_workers_spans_reach_the_parent(self, tmp_path):
         from repro.calibrate import synthesize_paper_trace
@@ -155,14 +139,60 @@ class TestSpans:
         trace = tmp_path / "t.jsonl"
         synthesize_paper_trace(trace)
         obspans.enable()
+        with obspans.span("before_fanout"):
+            pass
         shard_accumulate(str(trace), jobs=2)
         spans = obspans.drain()
-        names = {span.name for span in spans}
-        assert {"shard_plan", "shard_fanout", "shard_merge",
-                "shard_accumulate", "stream_decode"} <= names
+        names = [span.name for span in spans]
+        # Forked workers inherit the undrained parent span; it must
+        # not come home a second time through them.
+        for name in ("before_fanout", "shard_plan", "shard_fanout",
+                     "shard_merge"):
+            assert names.count(name) == 1, name
+        assert "stream_decode" in names
+        workers = sorted(span.worker for span in spans
+                         if span.name == "shard_accumulate")
+        assert workers == ["shard-0", "shard-1"]
+
+    def test_sweep_workers_spans_reach_the_parent(self, tmp_path):
+        from repro.calibrate import synthesize_paper_trace
+        from repro.sweep import sweep_traces
+        traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for trace in traces:
+            synthesize_paper_trace(trace)
+        obspans.enable()
+        sweep_traces(traces, jobs=2, use_cache=False)
+        spans = obspans.drain()
+        reads = [span for span in spans if span.name == "sweep_read"]
+        assert len(reads) == 2
+        for read in reads:
+            assert read.worker.startswith("pid-")
+            assert read.worker != f"pid-{os.getpid()}"
+        assert [span.name for span in spans].count("sweep_fanout") == 1
+
+    def test_inline_fanout_records_and_restores_label(self, tmp_path):
+        from repro.calibrate import synthesize_paper_trace
+        from repro.shards import shard_accumulate
+        trace = tmp_path / "t.jsonl"
+        synthesize_paper_trace(trace)
+        obspans.enable()
+        previous = obspans.set_worker("caller")
+        try:
+            shard_accumulate(str(trace), jobs=1)
+            assert obspans.current_worker() == "caller"
+        finally:
+            obspans.set_worker(previous)
+        spans = obspans.drain()
         workers = {span.worker for span in spans
                    if span.name == "shard_accumulate"}
-        assert any(worker.startswith("shard-") for worker in workers)
+        assert workers == {"shard-0"}
+        fanout = next(span for span in spans
+                      if span.name == "shard_fanout")
+        assert fanout.worker == "caller"
+
+    def test_fanout_keeps_task_order_and_records_nothing_when_off(self):
+        assert obspans.fanout(abs, [-3, 1, -2], jobs=2) == [3, 1, 2]
+        assert obspans.drain() == []
 
     def test_streaming_is_uninstrumented_when_disabled(self, tmp_path):
         from repro.calibrate import synthesize_paper_trace
