@@ -4,7 +4,7 @@ time-resolved analysis.
 Two comparisons on a simulated CFD trace:
 
 * **windower** — the historical per-window rescan
-  (:func:`repro.instrument.rescan_window_profiles`, O(windows x
+  (``rescan_window_profiles`` of ``tests/oracles.py``, O(windows x
   events)) against the single-pass sweep
   (:func:`repro.instrument.window_profiles`), checking the measurement
   sets are bit-identical and reporting the speedup.  The acceptance
@@ -30,16 +30,20 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 try:
     import repro  # noqa: F401  (resolves when installed or PYTHONPATH=src)
 except ImportError:                                  # pragma: no cover
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
+# The rescan reference lives with the test oracles, not in the package.
+sys.path.insert(0, str(ROOT))
 
 import numpy as np
 
 from repro.apps import CFDConfig, run_cfd
 from repro.core import WindowedBatch, compute_region_view
-from repro.instrument import rescan_window_profiles, window_profiles
+from repro.instrument import window_profiles
+from tests.oracles import rescan_window_profiles
 
 #: Window counts swept; the last one is the acceptance point.
 WINDOW_COUNTS = (16, 64)

@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_cmd = commands.add_parser(
         "analyze", help="analyze a trace file post mortem")
     analyze_cmd.add_argument("tracefile", help="trace written by repro "
-                                               "(.jsonl or .jsonl.gz)")
+                                               "(.jsonl, .jsonl.gz or "
+                                               ".rptb)")
     analyze_cmd.add_argument("--patterns", action="store_true",
                              help="also print the per-activity pattern "
                                   "figures")

@@ -11,18 +11,20 @@ without ever holding the event list.  Per-cell moments (sums, sums of
 squares over processors) and every registered index then derive from
 the finalized tensor exactly as in the in-memory path.
 
-* :class:`OnlineAccumulator` — ``update(events)`` folds a chunk into
-  the running per-(region, activity, rank) sums; ``merge(other)``
-  combines two accumulators (associative, and order-insensitive up to
-  the first-appearance ordering of labels); ``finalize()`` produces the
-  same :class:`~repro.core.measurements.MeasurementSet` that
-  :func:`repro.instrument.profile` builds from the full event list —
-  bit-identical when chunks arrive in file order, within one float
-  rounding of the summation tree when shards are merged.
-* :class:`WindowedAccumulator` — the windowed counterpart: bins
-  boundary-split events into fixed time windows one chunk at a time,
-  finalizing to the same ``List[Window]`` as
-  :func:`repro.instrument.window_profiles`.
+* :class:`OnlineAccumulator` — the one aggregation kernel.
+  ``update(events)`` folds a chunk into the running per-(region,
+  activity, rank) sums; ``merge(other)`` combines two accumulators
+  (associative, and order-insensitive up to the first-appearance
+  ordering of labels); ``finalize()`` produces the
+  :class:`~repro.core.measurements.MeasurementSet`.
+  :func:`repro.instrument.profile` is this accumulator run over the
+  full event list as one chunk, so any chunking in file order is
+  bit-identical to it, and merged shards agree within one float
+  rounding of the summation tree.
+* :class:`WindowedAccumulator` — the one windowing kernel: bins
+  boundary-split events into fixed time windows, one chunk at a time,
+  in a vectorized sweep.  :func:`repro.instrument.window_profiles` is
+  this accumulator run over the full event list as one chunk.
 
 Memory is bounded by the (regions x activities x ranks) layout — and,
 for the windowed form, the window count — never by the event count.
@@ -53,19 +55,19 @@ def _ordered_activities(seen: Sequence[str]) -> Tuple[str, ...]:
 
 
 class OnlineAccumulator:
-    """Streaming equivalent of :func:`repro.instrument.profile`.
+    """Per-(region, activity, rank) duration sums, one chunk at a time.
 
-    Parameters mirror :func:`~repro.instrument.profile`: ``regions``
+    :func:`repro.instrument.profile` runs it over a whole trace, and its
+    parameters are the profile's: ``regions``
     fixes the region order (events in unlisted regions are skipped),
     ``activities`` fixes the activity order (an event with an unlisted
     activity raises :class:`~repro.errors.TraceError`), and ``n_ranks``
     widens the processor axis beyond the ranks actually seen.  With
     the defaults, regions appear in order of first appearance and
-    activities follow the paper's canonical ordering — exactly the
-    labels ``profile`` would produce for the same events.
+    activities follow the paper's canonical ordering.
 
-    The accumulator is picklable (plain dicts and scalars), so shard
-    workers can build one per shard and ship it back for merging.
+    The accumulator is picklable (plain dicts, lists and scalars), so
+    shard workers can build one per shard and ship it back for merging.
     """
 
     def __init__(self, regions: Optional[Sequence[str]] = None,
@@ -77,16 +79,18 @@ class OnlineAccumulator:
                                   if activities is not None else None)
         self._aggregation = aggregation
         self._given_ranks = n_ranks
-        #: (region, activity, rank) -> summed duration.  Insertion
-        #: order is first-appearance order, which merge preserves.
-        self._sums: Dict[Tuple[str, str, int], float] = {}
+        #: (region, activity) -> summed durations indexed by rank (a
+        #: zero-padded row: 32 B per rank, not a dict entry per cell).
+        #: Insertion order is first-appearance order, which merge
+        #: preserves.
+        self._sums: Dict[Tuple[str, str], List[float]] = {}
         self._region_order: List[str] = []
         self._region_set = set()
         self._activity_order: List[str] = []
         self._activity_set = set()
         self._max_rank = -1
         self._min_begin = float("inf")
-        self._max_end = 0.0
+        self._max_end = float("-inf")
         self._n_events = 0
 
     # ------------------------------------------------------------------
@@ -96,8 +100,8 @@ class OnlineAccumulator:
         """Fold one chunk of events into the running sums.
 
         Per tensor cell the additions happen in event order, so feeding
-        a whole trace chunk by chunk reproduces the eager profile's
-        floating-point sums bit for bit.
+        a trace chunk by chunk gives the floating-point sums of one
+        whole-trace chunk bit for bit.
         """
         fixed_regions = (set(self._fixed_regions)
                          if self._fixed_regions is not None else None)
@@ -133,8 +137,13 @@ class OnlineAccumulator:
                 raise TraceError(
                     f"trace contains activity {activity!r} not in "
                     f"{self._fixed_activities}")
-            key = (region, activity, event.rank)
-            sums[key] = sums.get(key, 0.0) + (event.end - event.begin)
+            row = sums.get((region, activity))
+            if row is None:
+                row = sums[region, activity] = []
+            rank = event.rank
+            if rank >= len(row):
+                row.extend([0.0] * (rank + 1 - len(row)))
+            row[rank] += event.end - event.begin
         return self
 
     def consume(self, chunks: Iterable[Iterable]) -> "OnlineAccumulator":
@@ -175,9 +184,12 @@ class OnlineAccumulator:
             regions=self._fixed_regions,
             activities=self._fixed_activities,
             aggregation=self._aggregation, n_ranks=ranks)
-        merged._sums = dict(self._sums)
-        for key, value in other._sums.items():
-            merged._sums[key] = merged._sums.get(key, 0.0) + value
+        merged._sums = {key: list(row) for key, row in self._sums.items()}
+        for key, row in other._sums.items():
+            mine = merged._sums.setdefault(key, [])
+            mine.extend([0.0] * (len(row) - len(mine)))
+            for rank, value in enumerate(row):
+                mine[rank] += value
         merged._region_order = list(self._region_order)
         merged._region_set = set(self._region_set)
         for region in other._region_order:
@@ -216,8 +228,9 @@ class OnlineAccumulator:
 
     @property
     def elapsed(self) -> float:
-        """Latest event end seen — the traced wall clock."""
-        return self._max_end
+        """Latest event end seen — the traced wall clock (0 when
+        empty), like ``Tracer.elapsed``."""
+        return 0.0 if self._n_events == 0 else self._max_end
 
     def regions(self) -> Tuple[str, ...]:
         """Region order the finalized set will use."""
@@ -237,9 +250,9 @@ class OnlineAccumulator:
     def finalize(self) -> MeasurementSet:
         """The measurement set of everything folded in so far.
 
-        Matches ``profile(tracer)`` on the same events: same labels,
-        same tensor, same ``T = max(elapsed, covered)`` convention.
-        The accumulator itself is unchanged and can keep accumulating.
+        ``T`` is the larger of the traced wall clock and the covered
+        time.  The accumulator itself is unchanged and can keep
+        accumulating.
         """
         if self._n_events == 0:
             raise TraceError("cannot profile an empty trace")
@@ -257,9 +270,9 @@ class OnlineAccumulator:
         region_index = {name: i for i, name in enumerate(region_names)}
         activity_index = {name: j for j, name in enumerate(activity_names)}
         tensor = np.zeros((len(region_names), len(activity_names), n_ranks))
-        for (region, activity, rank), value in self._sums.items():
-            tensor[region_index[region],
-                   activity_index[activity], rank] = value
+        for (region, activity), row in self._sums.items():
+            tensor[region_index[region], activity_index[activity],
+                   :len(row)] = row
         preliminary = MeasurementSet(tensor, regions=region_names,
                                      activities=activity_names,
                                      aggregation=self._aggregation)
@@ -278,15 +291,15 @@ class OnlineAccumulator:
 
 
 class WindowedAccumulator:
-    """Streaming counterpart of :func:`repro.instrument.window_profiles`.
+    """Per-window profiles of boundary-split events, one chunk at a
+    time.
 
     Requires the window ``edges`` and the (region, activity, rank)
     layout up front — the time-resolved CLI discovers both with a first
     :class:`OnlineAccumulator` pass, then bins the same stream on a
-    second pass.  ``finalize()`` yields the identical ``List[Window]``
-    the in-memory single-pass sweep produces (same occupied-window
-    drops, same boundary splits, same per-window ``T``), bit for bit
-    when chunks arrive in file order.
+    second pass; :func:`repro.instrument.window_profiles` does both
+    passes over the in-memory event list as one chunk.  Any chunking
+    in file order finalizes to the same ``List[Window]``, bit for bit.
     """
 
     def __init__(self, edges: Sequence[float],
@@ -303,8 +316,10 @@ class WindowedAccumulator:
         if n_ranks < 1:
             raise TraceError("need at least one rank")
         n_windows = len(self.edges) - 1
+        self._edge_array = np.asarray(self.edges)
         self._region_ids = {name: i
-                            for i, name in enumerate(self.region_names)}
+                            for i, name in enumerate(self.region_names)
+                            if name != OUTSIDE_REGION}
         self._activity_ids = {name: j
                               for j, name in enumerate(self.activity_names)}
         self._tensors = np.zeros((n_windows, len(self.region_names),
@@ -323,51 +338,70 @@ class WindowedAccumulator:
         return self._n_events
 
     def update(self, events: Iterable) -> "WindowedAccumulator":
-        """Bin one chunk, splitting events across window boundaries
-        proportionally (the same clipping arithmetic as the in-memory
-        sweep, applied in the same event order)."""
-        from bisect import bisect_left, bisect_right
-        edges = self.edges
-        last_window = self.n_windows - 1
-        tensors = self._tensors
-        for event in events:
-            self._n_events += 1
-            lo = max(bisect_right(edges, event.begin) - 1, 0)
-            hi = min(bisect_left(edges, event.end) - 1, last_window)
-            cell = self._cell_of(event)
-            rank = event.rank
-            for window in range(lo, hi + 1):
-                clipped_begin = max(event.begin, edges[window])
-                clipped_end = min(event.end, edges[window + 1])
-                if clipped_end - clipped_begin <= 0.0:
-                    continue
-                self._occupied[window] = True
-                if clipped_end > self._last_end[window]:
-                    self._last_end[window] = clipped_end
-                if cell is None:
-                    continue
-                if cell < 0:
-                    self._poisoned[window] = True
-                    continue
-                tensors[window, cell // len(self.activity_names),
-                        cell % len(self.activity_names), rank] += \
-                    clipped_end - clipped_begin
-        return self
+        """Bin one chunk of events in a single vectorized sweep.
 
-    def _cell_of(self, event) -> Optional[int]:
-        """Flattened (region, activity) cell; None for events the
-        profile skips, -1 for an indexed region whose activity is
-        missing from the layout (which poisons the window, exactly as
-        the in-memory sweep drops it)."""
-        if event.region == OUTSIDE_REGION:
-            return None
-        i = self._region_ids.get(event.region)
-        if i is None:
-            return None
-        j = self._activity_ids.get(event.activity)
-        if j is None:
-            return -1
-        return i * len(self.activity_names) + j
+        Each event finds the windows it overlaps by binary search on
+        the edges and is split at their boundaries.  The split
+        durations are scattered straight into the running tensors with
+        one unbuffered ``np.add.at``, which adds in event order per
+        cell — so any chunking of a trace, including one chunk, gives
+        bit-identical sums.
+        """
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        n_events = len(events)
+        if n_events == 0:
+            return self
+        edges = self._edge_array
+        n_windows, n_regions, n_activities, n_ranks = self._tensors.shape
+        begins = np.array([event.begin for event in events], dtype=float)
+        ends = np.array([event.end for event in events], dtype=float)
+        ranks = np.array([event.rank for event in events], dtype=np.intp)
+        # Flattened (region, activity) cell per event: -1 marks events
+        # the profile skips (outside or unlisted regions), -2 an
+        # indexed region whose activity is missing from the layout —
+        # profiling a window that holds one would raise, so such an
+        # event poisons every window it touches.
+        region_of = np.array([self._region_ids.get(event.region, -1)
+                              for event in events], dtype=np.intp)
+        activity_of = np.array([self._activity_ids.get(event.activity, -1)
+                                for event in events], dtype=np.intp)
+        cells = np.where(region_of < 0, -1,
+                         np.where(activity_of < 0, -2,
+                                  region_of * n_activities + activity_of))
+
+        # Window range [lo, hi] each event can overlap; expand into
+        # (event, window) pairs, events in chunk order.
+        lo = np.maximum(np.searchsorted(edges, begins, side="right") - 1, 0)
+        hi = np.minimum(np.searchsorted(edges, ends, side="left") - 1,
+                        n_windows - 1)
+        counts = np.maximum(hi - lo + 1, 0)
+        event_of = np.repeat(np.arange(n_events), counts)
+        offsets = np.repeat(counts.cumsum() - counts, counts)
+        window_of = lo[event_of] + (np.arange(event_of.size) - offsets)
+
+        clipped_begin = np.maximum(begins[event_of], edges[window_of])
+        clipped_end = np.minimum(ends[event_of], edges[window_of + 1])
+        durations = clipped_end - clipped_begin
+        overlap = durations > 0.0
+        event_of = event_of[overlap]
+        window_of = window_of[overlap]
+        cell_of = cells[event_of]
+        counted = cell_of >= 0
+        rank_of = ranks[event_of[counted]]
+        if rank_of.size and rank_of.max() >= n_ranks:
+            raise TraceError(f"event of rank {rank_of.max()} outside the "
+                             f"layout's {n_ranks} ranks")
+
+        self._n_events += n_events
+        self._occupied[window_of] = True
+        np.maximum.at(self._last_end, window_of, clipped_end[overlap])
+        self._poisoned[window_of[cell_of == -2]] = True
+        targets = ((window_of[counted] * (n_regions * n_activities)
+                    + cell_of[counted]) * n_ranks + rank_of)
+        np.add.at(self._tensors.reshape(-1), targets,
+                  durations[overlap][counted])
+        return self
 
     def consume(self, chunks: Iterable[Iterable]) -> "WindowedAccumulator":
         """Fold an iterator of chunks."""
@@ -397,9 +431,9 @@ class WindowedAccumulator:
         return merged
 
     def finalize(self) -> List:
-        """The windows, exactly as :func:`window_profiles` builds them:
-        unoccupied and poisoned windows dropped, per-window ``T`` the
-        larger of the window's covered time and its last event end."""
+        """The windows: unoccupied and poisoned windows dropped,
+        per-window ``T`` the larger of the window's covered time and
+        its last event end."""
         from ..instrument.windows import Window
         windows = []
         for w in range(self.n_windows):

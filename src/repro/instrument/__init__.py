@@ -6,10 +6,15 @@ This package provides that pipeline for the simulated machine:
 
 * :class:`Tracer` — collects :class:`TraceEvent` records (plugs into the
   simulator as its trace sink);
-* :func:`write_trace` / :func:`read_trace` — the on-disk trace format;
+* :func:`write_trace` / :func:`read_trace` and the binary
+  :func:`write_binary_trace` / :func:`read_binary_trace` — the on-disk
+  trace formats, each decoded by one chunked iterator
+  (:func:`iter_trace`, :func:`iter_binary_trace`; :func:`iter_any`
+  sniffs);
 * :func:`profile` — aggregates a trace into the ``t_ijp``
   :class:`~repro.core.measurements.MeasurementSet` the methodology
-  consumes.
+  consumes;
+* :func:`window_profiles` — one measurement set per time window.
 """
 
 from .binary import (read_any, read_any_tracer, read_binary_trace,
@@ -28,8 +33,7 @@ from .filters import (filter_activities, filter_events, filter_ranks,
                       relabel_region, shift_time)
 from .stream import (iter_any, iter_binary_span, iter_binary_trace,
                      iter_trace, iter_trace_span)
-from .windows import (Window, equal_edges, rescan_window_profiles,
-                      rescan_window_profiles_at, window_profiles,
+from .windows import (Window, equal_edges, window_profiles,
                       window_profiles_at)
 
 __all__ = [
@@ -64,8 +68,6 @@ __all__ = [
     "iter_trace", "iter_trace_span",
     "Window",
     "equal_edges",
-    "rescan_window_profiles",
-    "rescan_window_profiles_at",
     "window_profiles",
     "window_profiles_at",
 ]

@@ -25,10 +25,13 @@ without dropping a submitted trace.
 Ingestion is also **bounded-memory**: :meth:`TraceStore.add_stream`
 spools any byte source to disk in fixed-size chunks while hashing it
 (the same :func:`repro.cache.iter_chunks` machinery behind
-:func:`~repro.cache.content_key`), so a multi-gigabyte upload never
-materializes in RAM.  With ``max_bytes`` set the store is size-capped:
-each successful ingest evicts least-recently-analyzed traces (reads
-via :meth:`TraceStore.path` refresh recency) until the cap holds, the
+:func:`~repro.cache.content_key`), then validates the spooled file by
+folding it chunk by chunk into an
+:class:`~repro.core.online.OnlineAccumulator`, so a multi-gigabyte
+upload never materializes in RAM, neither as bytes nor as events.
+With ``max_bytes`` set the store is size-capped: each successful
+ingest evicts least-recently-analyzed traces (reads via
+:meth:`TraceStore.path` refresh recency) until the cap holds, the
 just-ingested trace always surviving.
 """
 
@@ -48,7 +51,9 @@ from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..cache import HASH_CHUNK, iter_chunks, lru_victims
 from ..errors import TraceError, TraceWarning
-from ..instrument.binary import MAGIC, read_any_tracer
+from ..core.online import OnlineAccumulator
+from ..instrument.binary import MAGIC
+from ..instrument.stream import iter_any
 
 PathLike = Union[str, Path]
 
@@ -226,7 +231,9 @@ class TraceStore:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", TraceWarning)
                 try:
-                    tracer = read_any_tracer(scratch)
+                    # Validate in bounded chunks: memory stays one chunk
+                    # of events, however large the upload.
+                    summary = OnlineAccumulator().consume(iter_any(scratch))
                 except (TraceError, gzip.BadGzipFile, EOFError,
                         OSError) as error:
                     raise TraceError(
@@ -235,9 +242,9 @@ class TraceStore:
                            for entry in caught)
             meta = StoredTrace(
                 sha256=sha, n_bytes=n_bytes,
-                format=suffix.lstrip("."), events=len(tracer),
-                ranks=tracer.n_ranks, elapsed=tracer.elapsed,
-                regions=tracer.regions(), name=name, salvaged=salvaged)
+                format=suffix.lstrip("."), events=summary.n_events,
+                ranks=summary.n_ranks, elapsed=summary.elapsed,
+                regions=summary.regions(), name=name, salvaged=salvaged)
             meta_path = self._meta_path(sha, suffix)
             meta_scratch = scratch.with_name(scratch.name + ".meta")
             meta_scratch.write_text(

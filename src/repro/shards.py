@@ -66,8 +66,7 @@ def plan_shards(path: PathLike, n_shards: int) -> List[Shard]:
     gzip, unknown-but-sniffable-later formats degrade to one whole-file
     shard and let the span readers do the complaining).
     """
-    from .instrument.binary import sniff_format
-    from .instrument.stream import binary_record_count
+    from .instrument.binary import binary_record_count, sniff_format
     if n_shards < 1:
         raise TraceError(f"need at least one shard, got {n_shards}")
     source = Path(path)
@@ -172,13 +171,10 @@ def _check_promised_count(source: Path, merged, on_error: str) -> None:
     — whole lines missing at the end — would slip through the sharded
     path.  Compare the merged total against the header's promise, with
     the sequential readers' salvage/raise semantics."""
-    import json
     import warnings
-    with open(source, "r", encoding="utf-8") as stream:
-        try:
-            expected = json.loads(stream.readline()).get("events")
-        except (json.JSONDecodeError, AttributeError):
-            return      # span readers already complained about the header
+
+    from .instrument.tracefile import promised_events
+    expected = promised_events(source)
     if expected is None or expected == merged.n_events:
         return
     message = (f"trace {source}: truncated: header promises {expected} "

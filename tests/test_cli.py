@@ -463,6 +463,23 @@ class TestTemporalStreamFlag:
                      "--stream", "--chunk-size", "13"]) == 0
         assert capsys.readouterr().out == eager
 
+    def test_stream_matches_eager_before_time_zero(self, tmp_path, capsys):
+        """Every event ends before t=0: the streamed extent must end at
+        the latest event end, not at 0, so both paths slice the same
+        windows."""
+        from repro.instrument import TraceEvent, write_trace
+        path = tmp_path / "negative.jsonl"
+        write_trace(path, [
+            TraceEvent(rank, "loop", "computation", -10.0 + 1.5 * step,
+                       -9.5 + 1.5 * step + 0.25 * rank)
+            for step in range(6) for rank in range(2)])
+        assert main(["temporal", str(path), "--windows", "4"]) == 0
+        eager = capsys.readouterr().out
+        assert "over 8.25 s" in eager
+        assert main(["temporal", str(path), "--windows", "4",
+                     "--stream"]) == 0
+        assert capsys.readouterr().out == eager
+
     def test_stream_is_incompatible_with_sweep(self, tracefile, capsys):
         import os
         assert main(["temporal", "--sweep", os.path.dirname(tracefile),

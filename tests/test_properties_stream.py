@@ -3,16 +3,20 @@
 The invariants the one-pass design rests on:
 
 * chunking is irrelevant — however an event stream is cut into chunks,
-  the finalized measurements are bit-identical to the eager profile
-  (per-cell additions happen in the same event order);
+  the finalized measurements are bit-identical to the per-event
+  profile loop of ``tests/oracles.py`` (per-cell additions happen in
+  the same event order);
+* the windowed kernel is chunking-invariant too — over any chunking,
+  :class:`WindowedAccumulator` and :func:`window_profiles` bin
+  bit-identically to the per-window rescan of ``tests/oracles.py``;
 * sharding is irrelevant up to summation rounding — any partition of
   the stream into consecutive segments, accumulated independently and
   merged in order, agrees to 1e-12 with the same labels;
 * merging is associative, and finalized *values* are insensitive to
   merge order (label order follows the merge sequence, so values are
   compared by label);
-* a randomly truncated trace file streams exactly like it reads
-  eagerly: both paths salvage the same prefix or both raise.
+* a randomly truncated trace file streams exactly like the oracle's
+  eager decoders read it: both salvage the same prefix or both raise.
 """
 
 import warnings
@@ -22,12 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OnlineAccumulator
+from repro.core import OnlineAccumulator, WindowedAccumulator
+from repro.core.measurements import DEFAULT_ACTIVITIES
 from repro.core.online import OUTSIDE_REGION
-from repro.errors import TraceError, TraceWarning
-from repro.instrument import (TraceEvent, Tracer, iter_binary_trace,
-                              iter_trace, profile, read_binary_trace,
-                              read_trace, write_binary_trace, write_trace)
+from repro.errors import ReproError, TraceError, TraceWarning
+from repro.instrument import (TraceEvent, Tracer, equal_edges,
+                              iter_binary_trace, iter_trace, window_profiles,
+                              write_binary_trace, write_trace)
+from tests import oracles
 
 REGIONS = ("alpha", "beta", "gamma")
 ACTIVITIES = ("computation", "point-to-point", "collective",
@@ -35,7 +41,8 @@ ACTIVITIES = ("computation", "point-to-point", "collective",
 
 
 @st.composite
-def annotated_traces(draw, max_size=50):
+def annotated_traces(draw, max_size=50, min_size=0, max_rank=3,
+                     regions=REGIONS, activities=ACTIVITIES):
     """Event lists with at least one annotated event.  Times are
     dyadic rationals, so every duration and sum is exact in binary
     floating point (bit-identity assertions stay meaningful)."""
@@ -46,15 +53,15 @@ def annotated_traces(draw, max_size=50):
 
     events = draw(st.lists(
         st.builds(event,
-                  rank=st.integers(0, 3),
-                  region=st.sampled_from(REGIONS + (OUTSIDE_REGION,)),
-                  activity=st.sampled_from(ACTIVITIES),
+                  rank=st.integers(0, max_rank),
+                  region=st.sampled_from(regions + (OUTSIDE_REGION,)),
+                  activity=st.sampled_from(activities),
                   begin_units=st.integers(0, 512),
                   duration_units=st.integers(0, 64)),
-        max_size=max_size))
-    events.append(event(draw(st.integers(0, 3)),
-                        draw(st.sampled_from(REGIONS)),
-                        draw(st.sampled_from(ACTIVITIES)),
+        min_size=min_size, max_size=max_size))
+    events.append(event(draw(st.integers(0, max_rank)),
+                        draw(st.sampled_from(regions)),
+                        draw(st.sampled_from(activities)),
                         draw(st.integers(0, 512)),
                         draw(st.integers(1, 64))))
     return events
@@ -63,7 +70,19 @@ def annotated_traces(draw, max_size=50):
 def eager_profile(events):
     tracer = Tracer()
     tracer.extend(events)
-    return profile(tracer)
+    return oracles.profile(tracer)
+
+
+def chunked(events, chunk_sizes):
+    """Cut ``events`` into consecutive chunks, cycling through the
+    given chunk sizes."""
+    chunks = []
+    position = 0
+    while position < len(events):
+        size = chunk_sizes[len(chunks) % len(chunk_sizes)]
+        chunks.append(events[position:position + size])
+        position += size
+    return chunks
 
 
 def partition(events, sizes):
@@ -97,19 +116,90 @@ class TestChunkingInvariance:
     def test_any_chunking_is_bit_identical_to_profile(self, events,
                                                       chunk_sizes):
         reference = eager_profile(events)
-        accumulator = OnlineAccumulator()
-        position = 0
-        index = 0
-        while position < len(events):
-            size = chunk_sizes[index % len(chunk_sizes)]
-            accumulator.update(events[position:position + size])
-            position += size
-            index += 1
+        accumulator = OnlineAccumulator().consume(
+            chunked(events, chunk_sizes))
         streamed = accumulator.finalize()
         assert streamed.regions == reference.regions
         assert streamed.activities == reference.activities
         assert np.array_equal(streamed.times, reference.times)
         assert streamed.total_time == reference.total_time
+
+
+class TestWindowedChunkingInvariance:
+    """The windowed kernel, fed any chunking of any trace — and the
+    in-memory windower built on it — bins exactly like the oracle's
+    per-window rescan: events straddling window edges, events outside
+    every region or in an unlisted one, and a fixed activity layout
+    missing an activity (which drops the windows it occurs in)."""
+
+    # Few cells, so a cell often gets several events in one chunk.
+    SEEN = ("computation", "collective", "io phase")
+
+    @settings(max_examples=80, deadline=None)
+    @given(events=annotated_traces(min_size=40, max_size=120, max_rank=1,
+                                   regions=REGIONS[:2], activities=SEEN),
+           chunk_sizes=st.lists(st.integers(1, 17), min_size=1,
+                                max_size=8),
+           n_windows=st.integers(1, 9),
+           regions=st.sampled_from((None, REGIONS[:1])),
+           activities=st.sampled_from((None, SEEN[:-1])))
+    def test_any_chunking_is_bit_identical_to_the_rescan(
+            self, events, chunk_sizes, n_windows, regions, activities):
+        # Scaled and shifted times are no longer dyadic, so durations
+        # and sums round and a change in the per-cell summation order
+        # shows; the negative shift puts the whole trace before t=0.
+        for scale, offset in ((1.0 / 3.0, 0.0), (0.7, 0.0), (0.1, -40.0)):
+            tracer = Tracer()
+            for event in events:
+                tracer.record(event.rank, event.region, event.activity,
+                              event.begin * scale + offset,
+                              event.end * scale + offset)
+            self.assert_matches_rescan(tracer, chunk_sizes, n_windows,
+                                       regions, activities)
+
+    @staticmethod
+    def assert_matches_rescan(tracer, chunk_sizes, n_windows, regions,
+                              activities):
+        try:
+            reference = oracles.rescan_window_profiles(
+                tracer, n_windows, regions=regions, activities=activities)
+        except ReproError as error:
+            # Production must fail the same way: no annotated window
+            # (TraceError), or a window before t=0 holding no annotated
+            # time, whose wall clock comes out non-positive
+            # (MeasurementError).
+            reference = type(error)
+        seen = tracer.activities()
+        layout = (
+            regions if regions is not None else tracer.regions(),
+            activities if activities is not None else tuple(
+                [name for name in DEFAULT_ACTIVITIES if name in seen]
+                + [name for name in seen if name not in DEFAULT_ACTIVITIES]))
+        binner = WindowedAccumulator(
+            equal_edges(tracer.begin, tracer.elapsed, n_windows), *layout,
+            tracer.n_ranks).consume(
+                chunked(list(tracer.events), chunk_sizes))
+        candidates = (binner.finalize,
+                      lambda: window_profiles(tracer, n_windows,
+                                              regions=regions,
+                                              activities=activities))
+        for candidate in candidates:
+            if isinstance(reference, type):
+                with pytest.raises(reference):
+                    candidate()
+                continue
+            got = candidate()
+            assert [(w.begin, w.end) for w in got] \
+                == [(w.begin, w.end) for w in reference]
+            for mine, theirs in zip(got, reference):
+                assert mine.measurements.regions \
+                    == theirs.measurements.regions
+                assert mine.measurements.activities \
+                    == theirs.measurements.activities
+                assert np.array_equal(mine.measurements.times,
+                                      theirs.measurements.times)
+                assert mine.measurements.total_time \
+                    == theirs.measurements.total_time
 
 
 class TestShardingInvariance:
@@ -210,7 +300,7 @@ class TestTruncationParity:
         write_trace(path, self.sample_events())
         data = path.read_bytes()
         path.write_bytes(data[:min(offset, len(data))])
-        self.assert_parity(read_trace, iter_trace, path, chunk_size)
+        self.assert_parity(oracles.read_trace, iter_trace, path, chunk_size)
 
     @settings(max_examples=40, deadline=None)
     @given(offset=st.integers(0, 10_000), chunk_size=st.integers(1, 7))
@@ -220,7 +310,7 @@ class TestTruncationParity:
         write_trace(path, self.sample_events())
         data = path.read_bytes()
         path.write_bytes(data[:min(offset, len(data))])
-        self.assert_parity(read_trace, iter_trace, path, chunk_size)
+        self.assert_parity(oracles.read_trace, iter_trace, path, chunk_size)
 
     @settings(max_examples=80, deadline=None)
     @given(offset=st.integers(0, 10_000), chunk_size=st.integers(1, 7))
@@ -230,7 +320,7 @@ class TestTruncationParity:
         write_binary_trace(path, self.sample_events())
         data = path.read_bytes()
         path.write_bytes(data[:min(offset, len(data))])
-        self.assert_parity(read_binary_trace, iter_binary_trace, path,
+        self.assert_parity(oracles.read_binary_trace, iter_binary_trace, path,
                            chunk_size)
 
     @settings(max_examples=40, deadline=None)
@@ -247,4 +337,4 @@ class TestTruncationParity:
         position = min(position, len(data) - 1)
         data[position:position + len(junk)] = junk
         path.write_bytes(bytes(data))
-        self.assert_parity(read_trace, iter_trace, path, chunk_size)
+        self.assert_parity(oracles.read_trace, iter_trace, path, chunk_size)

@@ -650,6 +650,45 @@ class TestStoreEviction:
         assert meta_chunked == meta_eager
         assert chunked.path(meta_chunked.sha256).read_bytes() == data
 
+    def test_ingest_metadata_matches_the_event_list(self, tmp_path,
+                                                    paper_trace):
+        """Ingest validates on the bounded streaming path; its metadata
+        equals what a Tracer holding every event reports, in every
+        format and for a salvaged upload."""
+        import gzip
+        import warnings
+
+        from repro.instrument import (Tracer, read_any_tracer, read_trace,
+                                      write_binary_trace, write_trace)
+        data = Path(paper_trace).read_bytes()
+        binary = tmp_path / "paper.rptb"
+        write_binary_trace(binary, read_trace(paper_trace))
+        negative = tmp_path / "negative.jsonl"
+        shifted = Tracer()
+        for event in read_trace(paper_trace)[:40]:
+            shifted.record(event.rank, event.region, event.activity,
+                           event.begin - 1e3, event.end - 1e3)
+        write_trace(negative, shifted.events)
+        uploads = {
+            ".jsonl": (data, False),
+            ".jsonl.gz": (gzip.compress(data), False),
+            ".rptb": (binary.read_bytes(), False),
+            "negative.jsonl": (negative.read_bytes(), False),
+            "salvaged.jsonl": (data[:len(data) * 2 // 3], True),
+        }
+        store = TraceStore(tmp_path / "store")
+        for name, (payload, salvaged) in uploads.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                meta, _ = store.add_bytes(payload, name=name)
+                tracer = read_any_tracer(store.path(meta.sha256))
+            assert meta.events == len(tracer), name
+            assert meta.ranks == tracer.n_ranks, name
+            assert meta.elapsed == tracer.elapsed, name
+            assert meta.regions == tracer.regions(), name
+            assert meta.salvaged is salvaged, name
+        assert store.get(meta.sha256).events < len(read_trace(paper_trace))
+
     def test_add_file_streams_and_dedups(self, tmp_path, paper_trace):
         store = TraceStore(tmp_path / "store")
         meta, created = store.add_file(paper_trace)

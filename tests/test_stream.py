@@ -1,10 +1,11 @@
 """Unit tests for the chunked trace iterators and the shard planner.
 
 The streaming readers' contract: concatenating every yielded chunk
-reproduces the eager reader exactly (events, salvage behaviour, blank
-line / NUL padding tolerance), with no chunk larger than ``chunk_size``
-— and span iterators that tile a file partition its events exactly
-once, no matter where the cut points fall.
+reproduces an independent eager reader (``tests/oracles.py``) exactly
+(events, salvage behaviour, blank line / NUL padding tolerance), with
+no chunk larger than ``chunk_size`` — and span iterators that tile a
+file partition its events exactly once, no matter where the cut points
+fall.
 """
 
 import gzip
@@ -18,6 +19,7 @@ from repro.instrument import (TraceEvent, iter_any, iter_binary_span,
                               iter_trace_span, read_binary_trace,
                               read_trace, write_binary_trace, write_trace)
 from repro.shards import Shard, accumulate_shard, plan_shards
+from tests import oracles
 
 
 def sample_events(count=23):
@@ -44,7 +46,8 @@ class TestIterTrace:
     def test_concatenation_equals_eager(self, tmp_path, chunk_size):
         path = tmp_path / "t.jsonl"
         write_trace(path, sample_events())
-        assert drain(iter_trace(path, chunk_size)) == read_trace(path)
+        assert drain(iter_trace(path, chunk_size)) \
+            == oracles.read_trace(path)
 
     def test_chunks_are_bounded(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -187,8 +190,8 @@ class TestIterBinaryTrace:
     def test_concatenation_equals_eager(self, tmp_path, chunk_size):
         path = tmp_path / "t.rptb"
         write_binary_trace(path, sample_events())
-        assert drain(iter_binary_trace(path,
-                                       chunk_size)) == read_binary_trace(path)
+        assert drain(iter_binary_trace(path, chunk_size)) \
+            == oracles.read_binary_trace(path)
 
     def test_truncated_records_salvaged(self, tmp_path):
         path = tmp_path / "t.rptb"

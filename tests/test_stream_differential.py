@@ -1,13 +1,14 @@
-"""Differential suite: the streaming engine against the eager pipeline.
+"""Differential suite: the streaming engine against the eager oracles.
 
 The contract of :class:`OnlineAccumulator`: fed the same events, it
-finalizes the very measurements :func:`profile` builds — and therefore
+finalizes the very measurements the per-event profile loop of
+``tests/oracles.py`` builds — and therefore
 every downstream quantity of the batch engine (dispersion matrices for
 every registered index, the three views, the rankings, the efficiency
 factorization) agrees to 1e-12, whether the events arrived as one
 chunk, as many small chunks, or as independently accumulated shards
-merged afterwards.  The windowed accumulator gets the same treatment
-against :func:`window_profiles`.
+merged afterwards.  The windowed accumulator and :func:`window_profiles`
+get the same treatment against the oracle's per-window rescan.
 """
 
 import numpy as np
@@ -15,10 +16,11 @@ import pytest
 
 from repro.core import (AnalysisSession, OnlineAccumulator,
                         WindowedAccumulator, available_indices, efficiency)
-from repro.instrument import (equal_edges, iter_any, profile,
+from repro.instrument import (Tracer, equal_edges, iter_any,
                               window_profiles, write_binary_trace,
                               write_trace)
 from repro.shards import shard_accumulate
+from tests import oracles
 
 TOLERANCE = 1e-12
 
@@ -32,7 +34,7 @@ def chunked(events, size):
 def eager(cfd_run):
     """(events, measurements, session) of the reference pipeline."""
     _, tracer, _ = cfd_run
-    measurements = profile(tracer)
+    measurements = oracles.profile(tracer)
     return tracer.events, measurements, AnalysisSession(measurements)
 
 
@@ -169,9 +171,11 @@ class TestShardedMerge:
         half = len(events) // 2
         left = OnlineAccumulator().update(events[:half])
         right = OnlineAccumulator().update(events[half:])
-        before = dict(left._sums)
+        before = [part.finalize().times.copy() for part in (left, right)]
         left.merge(right)
-        assert left._sums == before          # merge is non-mutating
+        # merge is non-mutating
+        assert np.array_equal(left.finalize().times, before[0])
+        assert np.array_equal(right.finalize().times, before[1])
         assert left.n_events == half
 
 
@@ -211,32 +215,79 @@ class TestFileDriver:
         assert_measurements_close(merged.finalize(), reference)
 
 
+@pytest.fixture(scope="module")
+def rounding_trace():
+    """(tracer, rescan windows) of 3000 events with random float times
+    in 8 cells: nearly every addition rounds, so a windower matches the
+    oracle's bits only if it adds each cell's pieces in event order."""
+    rng = np.random.default_rng(7)
+    size = 3000
+    tracer = Tracer()
+    begins = rng.uniform(0.0, 10.0, size)
+    lengths = rng.uniform(0.0, 0.5, size)
+    for rank, region, activity, begin, length in zip(
+            rng.integers(0, 2, size), rng.integers(0, 2, size),
+            rng.integers(0, 2, size), begins, lengths):
+        tracer.record(int(rank), ("alpha", "beta")[region],
+                      ("computation", "collective")[activity],
+                      float(begin), float(begin + length))
+    return tracer, oracles.rescan_window_profiles(tracer, 5)
+
+
 class TestWindowedDifferential:
+    @pytest.mark.parametrize("chunk_size", [1, 7, 100, 3000])
+    def test_rounding_sums_match_the_rescan(self, rounding_trace,
+                                            chunk_size):
+        tracer, expected = rounding_trace
+        layout = oracles.profile(tracer)
+        binner = WindowedAccumulator(
+            equal_edges(tracer.begin, tracer.elapsed, 5), layout.regions,
+            layout.activities, tracer.n_ranks)
+        binner.consume(chunked(list(tracer.events), chunk_size))
+        for got in (binner.finalize(), window_profiles(tracer, 5)):
+            assert len(got) == len(expected)
+            for mine, theirs in zip(got, expected):
+                assert np.array_equal(mine.measurements.times,
+                                      theirs.measurements.times)
+                assert mine.measurements.total_time \
+                    == theirs.measurements.total_time
+
     @pytest.mark.parametrize("n_windows", [1, 4, 9])
     def test_windowed_accumulator_matches_window_profiles(self, cfd_run,
                                                           n_windows):
         _, tracer, _ = cfd_run
-        expected = window_profiles(tracer, n_windows=n_windows)
-        layout = profile(tracer)
+        expected = oracles.rescan_window_profiles(tracer, n_windows)
+        layout = oracles.profile(tracer)
         edges = equal_edges(tracer.begin, tracer.elapsed, n_windows)
         binner = WindowedAccumulator(edges, layout.regions,
                                      layout.activities, tracer.n_ranks)
         for chunk in chunked(list(tracer.events), 333):
             binner.update(chunk)
-        got = binner.finalize()
-        assert len(got) == len(expected)
-        for mine, theirs in zip(got, expected):
-            assert mine.begin == theirs.begin
-            assert mine.end == theirs.end
-            assert np.array_equal(mine.measurements.times,
-                                  theirs.measurements.times)
-            assert mine.measurements.total_time \
-                == theirs.measurements.total_time
+        for got in (binner.finalize(), window_profiles(tracer, n_windows)):
+            assert len(got) == len(expected)
+            for mine, theirs in zip(got, expected):
+                assert mine.begin == theirs.begin
+                assert mine.end == theirs.end
+                assert np.array_equal(mine.measurements.times,
+                                      theirs.measurements.times)
+                assert mine.measurements.total_time \
+                    == theirs.measurements.total_time
+
+    def test_rank_outside_the_layout_is_refused(self):
+        """The sweep scatters into a flat view, where a rank beyond the
+        layout would land in the next cell: it must raise instead."""
+        from repro.errors import TraceError
+        from repro.instrument import TraceEvent
+        binner = WindowedAccumulator([0.0, 1.0, 2.0], ("r",),
+                                     ("computation",), 1)
+        event = TraceEvent(1, "r", "computation", 0.5, 1.5)
+        with pytest.raises(TraceError, match="rank 1"):
+            binner.update([event])
 
     def test_windowed_merge_agrees(self, cfd_run):
         _, tracer, _ = cfd_run
         events = list(tracer.events)
-        layout = profile(tracer)
+        layout = oracles.profile(tracer)
         edges = equal_edges(tracer.begin, tracer.elapsed, 6)
 
         def binner(part):
