@@ -16,18 +16,16 @@ Quickstart::
 
     result, tracer, measurements = run_cfd()
     print(render_full_report(analyze(measurements)))
+
+Importing the package is lazy: ``import repro`` imports no subpackage,
+and each subpackage or top-level name below is imported on first
+access (PEP 562).  numpy is loaded by the first subpackage that
+computes anything, and scipy only by
+:mod:`repro.calibrate.reconstruct`, its one user.
 """
 
-from . import (apps, baselines, calibrate, core, faults, instrument, simmpi,
-               viz)
-from .apps import CFDConfig, SyntheticWorkload, run_cfd
-from .calibrate import reconstruct
-from .core import (AnalysisResult, MeasurementSet, Methodology, analyze,
-                   render_full_report)
+from ._lazy import lazy_attributes
 from .errors import ReproError
-from .testbed import Testbed, TestbedEntry
-from .instrument import Tracer, profile, read_trace, write_trace
-from .simmpi import NetworkModel, Simulator
 
 __version__ = "1.0.0"
 
@@ -45,3 +43,14 @@ __all__ = [
     "NetworkModel", "Simulator",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "apps": ("CFDConfig", "SyntheticWorkload", "run_cfd"),
+    "calibrate": ("reconstruct",),
+    "core": ("AnalysisResult", "MeasurementSet", "Methodology", "analyze",
+             "render_full_report"),
+    "testbed": ("Testbed", "TestbedEntry"),
+    "instrument": ("Tracer", "profile", "read_trace", "write_trace"),
+    "simmpi": ("NetworkModel", "Simulator"),
+}, submodules=("apps", "baselines", "calibrate", "core", "faults",
+               "instrument", "simmpi", "viz"))

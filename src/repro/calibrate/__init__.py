@@ -4,13 +4,14 @@
   facts, recorded verbatim, plus the derived program wall clock.
 * :mod:`repro.calibrate.reconstruct` — a full ``t_ijp`` tensor solved to
   satisfy every published constraint (the original tracefile is lost).
+
+Names resolve lazily (PEP 562): :mod:`~repro.calibrate.reconstruct` is
+the package's one scipy user, so ``paper_data`` and the
+:mod:`~repro.calibrate.directions` helpers import without scipy.
+``reconstruct`` here is the function, not its module.
 """
 
-from . import paper_data
-from .directions import (direction_from_shape, shares, spotlight,
-                         times_from_shares)
-from .reconstruct import (DESIGNATED_PROCESSOR, CalibrationReport,
-                          reconstruct, synthesize_paper_trace, verify)
+from .._lazy import lazy_attributes
 
 __all__ = [
     "paper_data",
@@ -24,3 +25,10 @@ __all__ = [
     "synthesize_paper_trace",
     "verify",
 ]
+
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "directions": ("direction_from_shape", "shares", "spotlight",
+                   "times_from_shares"),
+    "reconstruct": ("DESIGNATED_PROCESSOR", "CalibrationReport",
+                    "reconstruct", "synthesize_paper_trace", "verify"),
+}, submodules=("paper_data",))

@@ -54,20 +54,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .core import analyze, render_full_report
 from .errors import ReproError
-
-#: Default daemon address shared by the submit/fetch verbs (kept in
-#: sync with :data:`repro.serve.client.DEFAULT_URL`, which the CLI must
-#: not import at parse time — subcommand parsing stays lightweight).
-_DEFAULT_SERVE_URL = "http://127.0.0.1:8765"
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .serve.client import DEFAULT_URL
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Load-imbalance analysis of message-passing programs "
@@ -301,9 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_cmd.add_argument("tracefile", help="trace to upload "
                                               "(.jsonl, .jsonl.gz or "
                                               ".rptb)")
-    submit_cmd.add_argument("--url", default=_DEFAULT_SERVE_URL,
+    submit_cmd.add_argument("--url", default=DEFAULT_URL,
                             help=f"daemon base URL (default: "
-                                 f"{_DEFAULT_SERVE_URL})")
+                                 f"{DEFAULT_URL})")
     submit_cmd.add_argument("--name", help="display name to store with "
                                            "the trace (default: the "
                                            "file name)")
@@ -314,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fetch_cmd.add_argument("trace",
                            help="trace file (submitted first if needed) "
                                 "or the sha256 digest of a stored trace")
-    fetch_cmd.add_argument("--url", default=_DEFAULT_SERVE_URL,
+    fetch_cmd.add_argument("--url", default=DEFAULT_URL,
                            help=f"daemon base URL (default: "
-                                f"{_DEFAULT_SERVE_URL})")
+                                f"{DEFAULT_URL})")
     fetch_cmd.add_argument("--kind", default="analyze",
                            choices=("analyze", "diagnose", "whatif",
                                     "temporal"),
@@ -382,11 +378,16 @@ class _Profiled:
         self._out = getattr(arguments, "profile_out", None)
         self._active = bool(getattr(arguments, "profile", False)
                             or self._out)
+        self._startup = getattr(arguments, "startup", None)
 
     def __enter__(self) -> "_Profiled":
         if self._active:
             from .obs import spans as obspans
             obspans.enable()
+            if self._startup is not None:
+                obspans.record(obspans.Span(
+                    obspans.IMPORT_STAGE, *self._startup,
+                    activity="startup"))
         return self
 
     def __exit__(self, exc_type, *exc_info) -> bool:
@@ -543,6 +544,7 @@ def _command_analyze(arguments) -> int:
 
 def _command_paper(arguments) -> int:
     from .calibrate import reconstruct, verify
+    from .core import analyze, render_full_report
     measurements = reconstruct()
     report = verify(measurements)
     print(report.describe())
@@ -553,6 +555,7 @@ def _command_paper(arguments) -> int:
 
 def _command_cfd(arguments) -> int:
     from .apps import CFDConfig, run_cfd
+    from .core import analyze, render_full_report
     config = CFDConfig(grid=(arguments.grid, arguments.grid),
                        steps=arguments.steps)
     result, tracer, measurements = run_cfd(config, n_ranks=arguments.ranks)
@@ -571,6 +574,7 @@ def _command_cfd(arguments) -> int:
 
 
 def _command_counters(arguments) -> int:
+    from .core import analyze, render_full_report
     from .instrument import read_any_tracer
     from .instrument.counters import count_profile
     on_error = "raise" if arguments.strict else "salvage"
@@ -603,6 +607,7 @@ def _command_testbed(arguments) -> int:
         print(f"stored as {entry.trace_id}")
         return 0
     # show
+    from .core import analyze, render_full_report
     from .instrument import profile
     tracer = testbed.load(arguments.trace_id)
     print(render_full_report(analyze(profile(tracer))))
@@ -799,7 +804,7 @@ def _command_self(arguments) -> int:
             tracefile = str(arguments.tracefile)
             source = tracefile
         else:
-            from .calibrate.reconstruct import synthesize_paper_trace
+            from .calibrate import synthesize_paper_trace
             tracefile = str(Path(workdir) / "paper.jsonl")
             synthesize_paper_trace(tracefile)
             source = "synthesized paper trace"
@@ -958,8 +963,13 @@ def _validate_file_arguments(arguments) -> None:
         raise ReproError(f"trace file {path} is a directory")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None, *,
+         started: Optional[float] = None) -> int:
     """Entry point; returns a process exit code.
+
+    ``started`` is the ``time.perf_counter()`` reading at which
+    ``python -m repro`` began; ``--profile`` then opens its table with
+    an ``import`` row from there to command dispatch.
 
     Expected failures (any :class:`ReproError`: bad input files, invalid
     parameters, damaged traces in strict mode) print a one-line message
@@ -971,6 +981,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     try:
         _validate_file_arguments(arguments)
+        if started is not None:
+            arguments.startup = (started, time.perf_counter())
         return _COMMANDS[arguments.command](arguments)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import TraceError
+from ..errors import MeasurementError, TraceError
 from .measurements import DEFAULT_ACTIVITIES, MeasurementSet
 
 #: Region label recorded for time outside every annotated region
@@ -44,6 +44,23 @@ from .measurements import DEFAULT_ACTIVITIES, MeasurementSet
 #: here so :mod:`repro.core` keeps no import edge into the
 #: instrumentation package).
 OUTSIDE_REGION = "(outside regions)"
+
+
+def _total_time(last_end: float, covered: float, where: str) -> float:
+    """``T``: the larger of the last event end and the covered time.
+
+    Both are at most 0 only when ``where`` (the trace, or one window)
+    holds no time in the listed regions and ends at or before t=0;
+    that is refused by name rather than left to the
+    :class:`MeasurementSet` check of a positive ``T``.
+    """
+    total = max(last_end, covered)
+    if total <= 0.0:
+        raise MeasurementError(
+            f"{where} holds no annotated time in the listed regions and "
+            f"ends at or before t=0 (last event end {last_end:g} s), so "
+            "its wall clock T is not positive")
+    return total
 
 
 def _ordered_activities(seen: Sequence[str]) -> Tuple[str, ...]:
@@ -276,7 +293,8 @@ class OnlineAccumulator:
         preliminary = MeasurementSet(tensor, regions=region_names,
                                      activities=activity_names,
                                      aggregation=self._aggregation)
-        total = max(self._max_end, preliminary.covered_time)
+        total = _total_time(self._max_end, preliminary.covered_time,
+                            "the trace")
         return MeasurementSet(tensor, regions=region_names,
                               activities=activity_names,
                               total_time=total,
@@ -324,7 +342,7 @@ class WindowedAccumulator:
                               for j, name in enumerate(self.activity_names)}
         self._tensors = np.zeros((n_windows, len(self.region_names),
                                   len(self.activity_names), n_ranks))
-        self._last_end = np.zeros(n_windows)
+        self._last_end = np.full(n_windows, -np.inf)
         self._occupied = np.zeros(n_windows, dtype=bool)
         self._poisoned = np.zeros(n_windows, dtype=bool)
         self._n_events = 0
@@ -442,7 +460,9 @@ class WindowedAccumulator:
             preliminary = MeasurementSet(self._tensors[w].copy(),
                                          regions=self.region_names,
                                          activities=self.activity_names)
-            total = max(float(self._last_end[w]), preliminary.covered_time)
+            total = _total_time(
+                float(self._last_end[w]), preliminary.covered_time,
+                f"window [{self.edges[w]:g}, {self.edges[w + 1]:g})")
             windows.append(Window(begin=self.edges[w],
                                   end=self.edges[w + 1],
                                   measurements=preliminary

@@ -49,6 +49,10 @@ from ..errors import ReproError
 #: otherwise — the orchestrating process itself.
 DEFAULT_WORKER = "main"
 
+#: Stage name of the interpreter start-up span (``python -m repro``
+#: up to command dispatch); the timing table lists it first.
+IMPORT_STAGE = "import"
+
 
 @dataclass(frozen=True)
 class Span:
@@ -204,6 +208,13 @@ class _LiveSpan:
         return False
 
 
+def record(item: Span) -> None:
+    """Record a span timed elsewhere, such as start-up, which ends
+    before recording can be enabled."""
+    if _RECORDER.enabled:
+        _RECORDER.append(item)
+
+
 def span(name: str, *, worker: Optional[str] = None,
          activity: str = "computation", **attributes):
     """A context manager timing one pipeline stage.
@@ -298,7 +309,8 @@ class StageSummary:
 
 
 def summarize_spans(spans: Sequence[Span]) -> List[StageSummary]:
-    """Per-stage aggregates, largest total first."""
+    """Per-stage aggregates: the import stage first, then the
+    largest total first."""
     grouped: Dict[str, List[Span]] = {}
     for item in spans:
         grouped.setdefault(item.name, []).append(item)
@@ -310,7 +322,8 @@ def summarize_spans(spans: Sequence[Span]) -> List[StageSummary]:
             mean=total / len(members),
             largest=max(member.duration for member in members),
             workers=len({member.worker for member in members})))
-    summaries.sort(key=lambda item: (-item.total, item.name))
+    summaries.sort(key=lambda item: (item.name != IMPORT_STAGE,
+                                     -item.total, item.name))
     return summaries
 
 
@@ -337,7 +350,7 @@ def render_span_table(spans: Sequence[Span]) -> str:
               f"{wall * 1e3:.1f} ms of wall clock")
 
 
-__all__ = ["DEFAULT_WORKER", "Span", "StageSummary", "current_worker",
-           "disable", "drain", "enable", "fanout", "is_enabled",
-           "render_span_table", "set_worker", "span", "summarize_spans",
-           "worker_scope"]
+__all__ = ["DEFAULT_WORKER", "IMPORT_STAGE", "Span", "StageSummary",
+           "current_worker", "disable", "drain", "enable", "fanout",
+           "is_enabled", "record", "render_span_table", "set_worker",
+           "span", "summarize_spans", "worker_scope"]

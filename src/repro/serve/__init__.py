@@ -23,18 +23,12 @@ it into a serving system:
 Reports served by the daemon are byte-identical to the corresponding
 CLI command's output for the same trace and parameters — both sides
 call the same renderers.
+
+Names resolve lazily (PEP 562), so ``repro submit``/``repro fetch``
+load only :mod:`~repro.serve.client` and the standard library.
 """
 
-from .client import (DEFAULT_RETRIES, DEFAULT_RETRY_MAX_WAIT, DEFAULT_URL,
-                     RETRY_STATUSES, ServeClient, submit_and_fetch)
-from .jobs import (DEFAULT_MAX_QUEUE, JOB_KINDS, SERVE_CACHE_FORMAT,
-                   JobRunner, QueueFullError, ServiceDrainingError,
-                   build_report, normalize_params, report_key)
-from .metrics import LatencyWindow, ServiceMetrics
-from .server import (DEFAULT_MAX_BODY_BYTES, DEFAULT_REQUEST_TIMEOUT,
-                     DEFAULT_WAIT_SECONDS, MAX_WAIT_SECONDS,
-                     AnalysisServer)
-from .store import StoredTrace, TraceStore, trace_sha256
+from .._lazy import lazy_attributes
 
 __all__ = [
     "AnalysisServer",
@@ -63,3 +57,15 @@ __all__ = [
     "submit_and_fetch",
     "trace_sha256",
 ]
+
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "client": ("DEFAULT_RETRIES", "DEFAULT_RETRY_MAX_WAIT", "DEFAULT_URL",
+               "RETRY_STATUSES", "ServeClient", "submit_and_fetch"),
+    "jobs": ("DEFAULT_MAX_QUEUE", "JOB_KINDS", "SERVE_CACHE_FORMAT",
+             "JobRunner", "QueueFullError", "ServiceDrainingError",
+             "build_report", "normalize_params", "report_key"),
+    "metrics": ("LatencyWindow", "ServiceMetrics"),
+    "server": ("DEFAULT_MAX_BODY_BYTES", "DEFAULT_REQUEST_TIMEOUT",
+               "DEFAULT_WAIT_SECONDS", "MAX_WAIT_SECONDS", "AnalysisServer"),
+    "store": ("StoredTrace", "TraceStore", "trace_sha256"),
+})

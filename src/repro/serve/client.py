@@ -29,13 +29,10 @@ import json
 import random
 import time
 import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Optional, Union
 
 from ..errors import ReproError
-from ..obs.log import new_request_id
-from .store import trace_sha256
 
 PathLike = Union[str, Path]
 
@@ -120,6 +117,12 @@ class ServeClient:
                  data: Optional[bytes] = None,
                  content_type: str = "application/json",
                  headers: Optional[dict] = None) -> dict:
+        # Imported on first use: the CLI parser reads DEFAULT_URL from
+        # this module, and every verb's start-up would pay for these.
+        import urllib.request
+
+        from ..obs.log import new_request_id
+
         # One correlation ID per *logical* request, minted here when
         # the caller supplies none: every retry attempt carries the
         # same X-Request-Id, so the daemon's access log shows N
@@ -245,4 +248,4 @@ def submit_and_fetch(url: str, trace_path: PathLike,
 
 __all__ = ["DEFAULT_RETRIES", "DEFAULT_RETRY_BASE_WAIT",
            "DEFAULT_RETRY_MAX_WAIT", "DEFAULT_URL", "RETRY_STATUSES",
-           "ServeClient", "submit_and_fetch", "trace_sha256"]
+           "ServeClient", "submit_and_fetch"]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import TraceError
-from repro.instrument import OUTSIDE_REGION, Tracer, TraceEvent, profile
+from repro.errors import MeasurementError, TraceError
+from repro.instrument import (OUTSIDE_REGION, Tracer, TraceEvent, profile,
+                              window_profiles)
 
 
 class TestTraceEvent:
@@ -153,3 +154,37 @@ class TestProfile:
         ms = profile(self.make_tracer(), aggregation="mean")
         i = ms.activity_index("computation")
         assert ms.region_activity_times[0, i] == pytest.approx(1.5)
+
+
+class TestBeforeTimeZero:
+    """A trace lying before t=0 has no positive wall clock where the
+    listed regions (or one window) hold no annotated time; the error
+    says so instead of blaming ``total_time``."""
+
+    def make_tracer(self, shift=0.0):
+        tracer = Tracer()
+        tracer.record(0, "alpha", "computation", shift - 40.0, shift - 39.0)
+        tracer.record(1, "gamma", "computation", shift - 39.0, shift - 37.0)
+        return tracer
+
+    def test_profile_names_the_cause(self):
+        with pytest.raises(MeasurementError,
+                           match=r"the trace holds no annotated time in "
+                                 r"the listed regions and ends at or "
+                                 r"before t=0 \(last event end -37 s\)"):
+            profile(self.make_tracer(), regions=("beta",))
+
+    def test_window_profiles_names_the_cause(self):
+        with pytest.raises(MeasurementError,
+                           match=r"window \[-38.5, -37\) holds no "
+                                 r"annotated time in the listed regions "
+                                 r"and ends at or before t=0 "
+                                 r"\(last event end -37 s\)"):
+            window_profiles(self.make_tracer(), 2,
+                            regions=("alpha", "beta"))
+
+    def test_the_same_trace_after_time_zero_profiles(self):
+        tracer = self.make_tracer(shift=140.0)
+        assert profile(tracer, regions=("beta",)).total_time == 103.0
+        windows = window_profiles(tracer, 2, regions=("alpha", "beta"))
+        assert windows[-1].measurements.total_time == 103.0

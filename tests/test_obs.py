@@ -214,6 +214,15 @@ class TestSpans:
         table = render_span_table(spans)
         assert "stage" in table and "a" in table and "b" in table
 
+    def test_import_stage_leads_the_summary(self):
+        spans = [Span("decode", 0.2, 5.0), Span("import", 0.0, 0.1),
+                 Span("analyze", 5.0, 6.0)]
+        assert [s.name for s in summarize_spans(spans)] == [
+            "import", "decode", "analyze"]
+        rows = render_span_table(spans).splitlines()[3:]
+        assert [row.split()[0] for row in rows] == [
+            "import", "decode", "analyze"]
+
     def test_empty_table_raises(self):
         with pytest.raises(ReproError):
             render_span_table([])
